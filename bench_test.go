@@ -66,7 +66,7 @@ func reportFlow(b *testing.B, res *bonnroute.Result) {
 
 func BenchmarkTableI_ISR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bonnroute.RouteBaselineWithOptions(context.Background(), benchChip(), bonnroute.Options{Seed: 11})
+		res := bonnroute.RouteBaseline(context.Background(), benchChip(), bonnroute.WithSeed(11))
 		if i == b.N-1 {
 			reportFlow(b, res)
 		}
@@ -75,7 +75,7 @@ func BenchmarkTableI_ISR(b *testing.B) {
 
 func BenchmarkTableI_BRCleanup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := bonnroute.RouteWithOptions(context.Background(), benchChip(), bonnroute.Options{Seed: 11})
+		res := bonnroute.Route(context.Background(), benchChip(), bonnroute.WithSeed(11))
 		if i == b.N-1 {
 			reportFlow(b, res)
 			b.ReportMetric(res.FastGridHitRate, "fg-hitrate")
@@ -88,7 +88,7 @@ func BenchmarkTableI_BRCleanup(b *testing.B) {
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := benchChip()
-		res := bonnroute.RouteWithOptions(context.Background(), c, bonnroute.Options{Seed: 11})
+		res := bonnroute.Route(context.Background(), c, bonnroute.WithSeed(11))
 		if i < b.N-1 || res.Global == nil {
 			continue
 		}
@@ -432,8 +432,9 @@ func BenchmarkFutureCosts(b *testing.B) {
 		return pathsearch.NewHFuture(4, costs, map[int][]geom.Rect{0: {geom.R(7780, 20, 7781, 21)}})
 	})
 	mk("piP", func(costs pathsearch.Costs) pathsearch.FutureCost {
-		return pathsearch.NewPFuture(4, costs, map[int][]geom.Rect{0: {geom.R(7780, 20, 7781, 21)}},
-			geom.R(0, 0, 8000, 8000), pathsearch.PFutureConfig{Cell: 320})
+		// π_P is the coarse-grid π with unit weights (no layer directions).
+		return pathsearch.NewRFuture(4, costs, map[int][]geom.Rect{0: {geom.R(7780, 20, 7781, 21)}},
+			geom.R(0, 0, 8000, 8000), pathsearch.RFutureConfig{Cell: 320})
 	})
 }
 

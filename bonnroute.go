@@ -19,7 +19,7 @@
 //	fmt.Println(res.Metrics)
 //
 // Runs are configured with functional options (WithWorkers, WithSeed,
-// WithTracer, WithGlobalConfig, WithDetailConfig, ...); the context
+// WithTracer, WithGlobalConfig, WithOptions, ...); the context
 // carries cancellation — cancel it and the flow stops at the next stage,
 // phase or round boundary and returns a partial Result with Cancelled
 // set. Attach a Tracer (NewTracer over JSONL, progress or in-memory
@@ -53,8 +53,8 @@ import (
 // ECO (incremental rerouting) re-exports: a Delta describes a scenario
 // change against an already-routed chip — nets added (NewNet) or
 // removed, pins moved (PinMove), blockages dropped in — and EcoStats
-// reports what Reroute reused versus redid. PinShape and Obstacle are
-// the chip geometry types deltas are built from.
+// reports what Session.Reroute reused versus redid. PinShape and
+// Obstacle are the chip geometry types deltas are built from.
 type (
 	Delta    = incremental.Delta
 	NewNet   = incremental.NewNet
@@ -74,7 +74,9 @@ type ChipParams = chip.GenParams
 type Chip = chip.Chip
 
 // Options is the low-level configuration struct consumed by
-// RouteWithOptions; prefer the functional options of Route.
+// WithOptions; it is the only way to set the detailed-routing future
+// cost (UsePFuture, FutureMode). Prefer the functional options of Route
+// for everything else.
 type Options = core.Options
 
 // Result is a completed flow: global and detailed statistics, the DRC
@@ -191,51 +193,16 @@ func (g GlobalConfig) SetExactSteiner(n int) GlobalConfig {
 }
 
 // FutureMode selects the future-cost family driving detailed routing's
-// goal-oriented search: FutureDefault (legacy π_H / UsePFuture behavior,
-// bit-identical to earlier releases), FutureAuto (per-net reduced-graph
-// π_R by degree/bbox heuristics — what incremental reroutes default to),
-// or FutureReduced (always π_R). See DESIGN.md §12.
+// goal-oriented search (Options.FutureMode): FutureDefault (π_H, or π_P
+// under Options.UsePFuture) or FutureReduced (the layer-aware π_R). See
+// DESIGN.md §12.
 type FutureMode = detail.FutureMode
 
-// Future-cost modes for DetailConfig.FutureMode.
+// Future-cost modes for Options.FutureMode.
 const (
 	FutureDefault = detail.FutureDefault
-	FutureAuto    = detail.FutureAuto
 	FutureReduced = detail.FutureReduced
 )
-
-// DetailConfig collects the detailed-routing knobs for WithDetailConfig.
-// Like GlobalConfig, struct-literal fields merge (zero keeps earlier
-// settings) and SetX accessors set explicitly, including to false.
-type DetailConfig struct {
-	// UsePFuture enables the blockage-aware future cost (§3.5).
-	UsePFuture bool
-	// FutureMode selects the future-cost family (π_H/auto/reduced).
-	FutureMode FutureMode
-
-	set uint8
-}
-
-const (
-	dcUsePFuture = 1 << iota
-	dcFutureMode
-)
-
-// SetUsePFuture returns a copy with UsePFuture explicitly set; false
-// disables the blockage-aware future cost even when an earlier option
-// enabled it.
-func (d DetailConfig) SetUsePFuture(b bool) DetailConfig {
-	d.UsePFuture, d.set = b, d.set|dcUsePFuture
-	return d
-}
-
-// SetFutureMode returns a copy with FutureMode explicitly set;
-// FutureDefault restores the legacy selection even when an earlier
-// option chose another mode.
-func (d DetailConfig) SetFutureMode(m FutureMode) DetailConfig {
-	d.FutureMode, d.set = m, d.set|dcFutureMode
-	return d
-}
 
 // Option configures a routing run.
 type Option func(*core.Options)
@@ -276,23 +243,6 @@ func WithGlobalConfig(g GlobalConfig) Option {
 	}
 }
 
-// WithDetailConfig applies the detailed-routing configuration, with the
-// same merge-vs-explicit semantics as WithGlobalConfig.
-func WithDetailConfig(d DetailConfig) Option {
-	return func(o *core.Options) {
-		if d.set&dcUsePFuture != 0 {
-			o.UsePFuture = d.UsePFuture
-		} else if d.UsePFuture {
-			o.UsePFuture = true
-		}
-		if d.set&dcFutureMode != 0 {
-			o.FutureMode = d.FutureMode
-		} else if d.FutureMode != FutureDefault {
-			o.FutureMode = d.FutureMode
-		}
-	}
-}
-
 // WithoutGlobal is shorthand for WithGlobalConfig(GlobalConfig{Skip: true}).
 func WithoutGlobal() Option { return func(o *core.Options) { o.SkipGlobal = true } }
 
@@ -307,9 +257,9 @@ func WithOptions(opt Options) Option {
 	return func(o *core.Options) { *o = opt }
 }
 
-// WithEcoThreshold sets the dirty-fraction above which Reroute falls
-// back to a full from-scratch run (default 0.35; negative never falls
-// back).
+// WithEcoThreshold sets the dirty-fraction above which Session.Reroute
+// falls back to a full from-scratch run (default 0.35; negative never
+// falls back).
 func WithEcoThreshold(f float64) Option {
 	return func(o *core.Options) { o.EcoThreshold = f }
 }
@@ -342,25 +292,6 @@ func RouteBaseline(ctx context.Context, c *Chip, opts ...Option) *Result {
 	return core.RouteBaseline(ctx, c, buildOptions(opts))
 }
 
-// Reroute applies an ECO delta to a finished run: committed wiring of
-// clean nets is reused verbatim, only affected global edges are
-// re-priced, and only the dirty set goes back through the detail
-// pipeline (full from-scratch fallback above WithEcoThreshold). An
-// empty delta returns prev itself, bit-identical. prev is never
-// modified.
-//
-// The options MUST match the ones prev was routed with — in particular
-// the seed, or the incremental result silently loses the determinism
-// contract. Nothing in this signature enforces that pairing, which is
-// why it is deprecated in favour of Session, where the options are
-// pinned once and every reroute reuses them.
-//
-// Deprecated: use NewSession (or SessionFromResult) and
-// Session.Reroute, which cannot mispair options with the result.
-func Reroute(ctx context.Context, prev *Result, delta Delta, opts ...Option) (*Result, *EcoStats, error) {
-	return incremental.Reroute(ctx, prev, delta, buildOptions(opts))
-}
-
 // RandomDelta builds a seeded random ECO scenario against a chip:
 // useful for stress tests and benchmarks. The zero GenConfig scales the
 // delta to roughly 3% of the chip's nets.
@@ -370,22 +301,6 @@ func RandomDelta(c *Chip, seed int64, cfg incremental.GenConfig) Delta {
 
 // EcoGenConfig sizes RandomDelta.
 type EcoGenConfig = incremental.GenConfig
-
-// RouteWithOptions is the old escape hatch for callers that already
-// hold a fully-populated core.Options.
-//
-// Deprecated: use Route(ctx, c, WithOptions(opt)) — the same escape
-// hatch as a composable functional option.
-func RouteWithOptions(ctx context.Context, c *Chip, opt Options) *Result {
-	return Route(ctx, c, WithOptions(opt))
-}
-
-// RouteBaselineWithOptions is the old baseline-flow escape hatch.
-//
-// Deprecated: use RouteBaseline(ctx, c, WithOptions(opt)).
-func RouteBaselineWithOptions(ctx context.Context, c *Chip, opt Options) *Result {
-	return RouteBaseline(ctx, c, WithOptions(opt))
-}
 
 // FormatMetrics renders Table-I-style rows.
 func FormatMetrics(rows []Metrics) string { return report.FormatTableI(rows) }

@@ -14,7 +14,7 @@ import (
 
 // ecoNote explains what the artifact compares: both paths start from the
 // same finished baseline routing and the same mutated chip; "incremental"
-// is bonnroute.Reroute (replay clean nets, re-route the dirty set),
+// is incremental.Reroute (replay clean nets, re-route the dirty set),
 // "full" is core.RouteBonnRoute from scratch on the mutated chip.
 const ecoNote = "incremental_ms = incremental.Reroute wall time (apply+prep+dirty+replay+" +
 	"restricted global+detail+cleanup); full_ms = from-scratch RouteBonnRoute on the same " +

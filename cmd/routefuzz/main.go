@@ -13,7 +13,7 @@
 // With -eco each scenario additionally derives a seeded random ECO
 // delta (nets added/removed, a pin moved, a blockage dropped in) and
 // runs the differential equivalence check: the delta applied
-// incrementally (bonnroute.Reroute) and from scratch must both clear
+// incrementally (incremental.Reroute) and from scratch must both clear
 // every verifier pass with identical opens/overflow counts, and the
 // incremental route must be bit-identical across worker counts. The
 // shrinker then minimizes ECO scenarios too: after the chip, it drops

@@ -44,8 +44,8 @@ type Options struct {
 	// routing.
 	UsePFuture bool
 	// FutureMode selects the detailed-routing future-cost family
-	// (detail.FutureDefault/Auto/Reduced). The zero value keeps the
-	// legacy π_H / UsePFuture behavior bit-identical.
+	// (detail.FutureDefault or FutureReduced). The zero value keeps
+	// π_H, or π_P under UsePFuture.
 	FutureMode detail.FutureMode
 	// EcoThreshold is the dirty-fraction above which incremental
 	// rerouting falls back to a full from-scratch run (see package

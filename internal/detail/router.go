@@ -26,21 +26,17 @@ import (
 )
 
 // FutureMode selects which future-cost (π) family drives the interval
-// search (the hierarchy of DESIGN.md §12).
+// search (DESIGN.md §12).
 type FutureMode int
 
+// The values are explicit rather than iota: FutureReduced is 2 on the
+// wire (the service's future_mode field), and 1 is retired.
 const (
 	// FutureDefault keeps the legacy selection: π_H everywhere, or π_P
-	// for every connection when Options.UsePFuture is set. Existing
-	// flows stay bit-identical under this mode.
-	FutureDefault FutureMode = iota
-	// FutureAuto picks π per net: the reduced-graph π_R for connections
-	// whose target degree or bounding box makes the stronger bound pay
-	// for its construction, π_H for the rest. The choice depends only on
-	// net geometry, never on worker count or timing.
-	FutureAuto
-	// FutureReduced always uses the reduced-graph π_R.
-	FutureReduced
+	// for every connection when Options.UsePFuture is set.
+	FutureDefault FutureMode = 0
+	// FutureReduced always uses the layer-aware reduced-graph π_R.
+	FutureReduced FutureMode = 2
 )
 
 // Options tune the detailed router.
@@ -58,14 +54,12 @@ type Options struct {
 	CorridorMarginTiles int
 	// AccessRadius is the pin-access search radius in pitches. Default 4.
 	AccessRadius int
-	// UsePFuture switches long-detour connections to the blockage-aware
-	// future cost π_P (§4.1).
+	// UsePFuture switches every connection to the blockage-aware future
+	// cost π_P (§4.1).
 	UsePFuture bool
 	// FutureMode selects the future-cost family for interval searches
-	// (DESIGN.md §12). FutureDefault keeps the legacy behavior (π_H, or
-	// π_P under UsePFuture) bit-identical; FutureAuto picks the reduced-
-	// graph π_R per net by degree/bbox heuristics; FutureReduced always
-	// uses π_R. UsePFuture takes precedence when set.
+	// (DESIGN.md §12): FutureDefault is π_H (or π_P under UsePFuture),
+	// FutureReduced is π_R. UsePFuture takes precedence when set.
 	FutureMode FutureMode
 	// SpreadCost is the optional wire-spreading hook (§4.2).
 	SpreadCost func(z, trackIdx, lo, hi int) int

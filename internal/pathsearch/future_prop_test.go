@@ -9,13 +9,15 @@ import (
 )
 
 // futureScenario is one synthetic world + target set the future-cost
-// property tests run every π implementation against.
+// property tests run every π implementation against, at the given coarse
+// cell size.
 type futureScenario struct {
 	name    string
 	world   *testWorld
 	costs   Costs
 	targets map[int][]geom.Rect
 	T       []geom.Point3
+	cell    int
 }
 
 func futureScenarios() []futureScenario {
@@ -31,10 +33,10 @@ func futureScenarios() []futureScenario {
 		}
 		return futureScenario{
 			name: name, world: w, costs: UniformCosts(4, 3, 50),
-			targets: targets, T: pts,
+			targets: targets, T: pts, cell: 40,
 		}
 	}
-	return []futureScenario{
+	scs := []futureScenario{
 		mk("free", []geom.Point3{geom.Pt3(245, 45, 0)}, nil),
 		mk("wall", []geom.Point3{geom.Pt3(245, 45, 0)}, func(w *testWorld) {
 			// A wall across the middle of every layer, wide enough to cover
@@ -51,6 +53,50 @@ func futureScenarios() []futureScenario {
 			w.block(1, geom.R(180, 40, 220, 120))
 		}),
 	}
+	// Non-uniform per-layer costs: random jog weights β ∈ [1,9] and via
+	// costs γ ∈ [5,104], random blockages, targets and cell sizes — the
+	// regime where π_R's anisotropic weights and per-layer slack differ
+	// most from π_P's.
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		costs := UniformCosts(4, 3, 50)
+		for z := range costs.BetaJog {
+			costs.BetaJog[z] = 1 + rng.Intn(9)
+		}
+		for z := range costs.GammaVia {
+			costs.GammaVia[z] = 5 + rng.Intn(100)
+		}
+		var blocks []geom.Rect
+		var blockZ []int
+		for i, nb := 0, rng.Intn(4); i < nb; i++ {
+			z := rng.Intn(4)
+			x0, y0 := rng.Intn(250), rng.Intn(250)
+			blockZ = append(blockZ, z)
+			blocks = append(blocks, geom.R(x0, y0, x0+20+rng.Intn(80), y0+20+rng.Intn(80)))
+		}
+		var pts []geom.Point3
+		for i, nT := 0, 1+rng.Intn(3); i < nT; i++ {
+			// On a track crossing, so the exact reference search reaches it.
+			pts = append(pts, geom.Pt3(5+10*rng.Intn(29), 5+10*rng.Intn(29), rng.Intn(4)))
+		}
+		sc := mk(fmt.Sprintf("nonuniform-%d", trial), pts, func(w *testWorld) {
+			for i, r := range blocks {
+				w.block(blockZ[i], r)
+			}
+		})
+		sc.costs = costs
+		sc.cell = 10 + rng.Intn(60)
+		reachable := true
+		for _, p := range pts {
+			if sc.world.isBlocked(p.Z, p.X, p.Y) {
+				reachable = false
+			}
+		}
+		if reachable {
+			scs = append(scs, sc)
+		}
+	}
+	return scs
 }
 
 // trackVertices enumerates the scenario's track-graph vertices.
@@ -72,11 +118,13 @@ func trackVertices(w *testWorld) []geom.Point3 {
 }
 
 // buildFutures constructs every FutureCost implementation over the
-// scenario, returning name → π plus the per-π feasibility slack the
-// coarse grids are allowed (0 for the exact π_H; one cell at the
-// crossing axis' heaviest weight for the quantized grids, as documented
-// on PFuture.At / RFuture.At).
-func buildFutures(sc futureScenario, cell int) (map[string]FutureCost, map[string]int) {
+// scenario — π_H, the unit-weight coarse grid π_P (RFuture without layer
+// directions) and the layer-aware π_R — returning name → π plus the
+// per-π feasibility slack the coarse grids are allowed (0 for the exact
+// π_H; one cell at the crossing axis' heaviest weight for the quantized
+// grids, as documented on RFuture.At).
+func buildFutures(sc futureScenario) (map[string]FutureCost, map[string]int) {
+	cell := sc.cell
 	bounds := sc.world.tg.Area
 	blocked := func(z int, cellRect geom.Rect) bool {
 		for _, r := range sc.world.blocked[z] {
@@ -97,12 +145,12 @@ func buildFutures(sc futureScenario, cell int) (map[string]FutureCost, map[strin
 	nl := len(dirs)
 	pis := map[string]FutureCost{
 		"HFuture": NewHFuture(nl, sc.costs, sc.targets),
-		"PFuture": NewPFuture(nl, sc.costs, sc.targets, bounds,
-			PFutureConfig{Cell: cell, Blocked: blocked}),
+		"piP": NewRFuture(nl, sc.costs, sc.targets, bounds,
+			RFutureConfig{Cell: cell, Blocked: blocked}),
 		"RFuture": NewRFuture(nl, sc.costs, sc.targets, bounds,
 			RFutureConfig{Cell: cell, Dirs: dirs, Blocked: blocked}),
 	}
-	slack := map[string]int{"HFuture": 0, "PFuture": cell, "RFuture": betaMax * cell}
+	slack := map[string]int{"HFuture": 0, "piP": cell, "RFuture": betaMax * cell}
 	return pis, slack
 }
 
@@ -111,9 +159,8 @@ func buildFutures(sc futureScenario, cell int) (map[string]FutureCost, map[strin
 // every FutureCost implementation: the property the goal-directed search
 // needs for nonnegative reduced costs.
 func TestFutureFeasibility(t *testing.T) {
-	const cell = 40
 	for _, sc := range futureScenarios() {
-		pis, slack := buildFutures(sc, cell)
+		pis, slack := buildFutures(sc)
 		verts := trackVertices(sc.world)
 		rng := rand.New(rand.NewSource(7))
 		check := func(name string, pi FutureCost, u, v geom.Point3, c int) {
@@ -198,9 +245,8 @@ func TestFutureFeasibility(t *testing.T) {
 // from u to the target set (computed by the node-based reference
 // Dijkstra with π ≡ 0).
 func TestFutureAdmissibility(t *testing.T) {
-	const cell = 40
 	for _, sc := range futureScenarios() {
-		pis, _ := buildFutures(sc, cell)
+		pis, _ := buildFutures(sc)
 		verts := trackVertices(sc.world)
 		rng := rand.New(rand.NewSource(11))
 		cfg := sc.world.config(sc.costs, nil, nil)
@@ -241,14 +287,13 @@ func TestFutureAdmissibility(t *testing.T) {
 // reduced grid actually strengthens the bound somewhere on the detour
 // scenario — otherwise the stronger machinery is dead weight.
 func TestFutureDominance(t *testing.T) {
-	const cell = 40
 	for _, sc := range futureScenarios() {
-		pis, _ := buildFutures(sc, cell)
+		pis, _ := buildFutures(sc)
 		h := pis["HFuture"]
 		stronger := 0
 		for _, u := range trackVertices(sc.world) {
 			hb := h.At(u.X, u.Y, u.Z)
-			for _, name := range []string{"PFuture", "RFuture"} {
+			for _, name := range []string{"piP", "RFuture"} {
 				if got := pis[name].At(u.X, u.Y, u.Z); got < hb {
 					t.Fatalf("%s/%s: %d < π_H %d at %v", sc.name, name, got, hb, u)
 				}
@@ -264,10 +309,8 @@ func TestFutureDominance(t *testing.T) {
 }
 
 // TestRFutureCacheReuse pins the engine-side incremental reuse contract:
-// identical re-queries hit (counted in PiReused, pointer-identical), a
-// NoteDirty region intersecting the entry's bounds invalidates exactly,
-// disjoint dirty regions do not, parameter changes rebuild, and the LRU
-// stays bounded.
+// identical re-queries hit (counted in PiReused, pointer-identical),
+// parameter changes rebuild, and the LRU stays bounded.
 func TestRFutureCacheReuse(t *testing.T) {
 	sc := futureScenarios()[1] // wall
 	dirs := make([]geom.Direction, len(sc.world.tg.Layers))
@@ -285,16 +328,6 @@ func TestRFutureCacheReuse(t *testing.T) {
 		t.Fatalf("identical re-query did not hit (reused %d -> %d)", base, e.Stats().PiReused)
 	}
 
-	// A dirty region outside the entry's bounds must not invalidate.
-	e.NoteDirty(0, geom.R(10000, 10000, 10010, 10010))
-	if rf3 := e.RFutureFor(1, 4, sc.costs, dirs, sc.T, bounds, 40, blocked); rf3 != rf1 {
-		t.Fatal("disjoint dirty region invalidated the cache")
-	}
-	// A dirty region intersecting the bounds must.
-	e.NoteDirty(0, geom.R(100, 100, 120, 120))
-	if rf4 := e.RFutureFor(1, 4, sc.costs, dirs, sc.T, bounds, 40, blocked); rf4 == rf1 {
-		t.Fatal("intersecting dirty region did not invalidate")
-	}
 	// Changed targets rebuild.
 	T2 := append(append([]geom.Point3(nil), sc.T...), geom.Pt3(25, 25, 1))
 	if rf5 := e.RFutureFor(1, 4, sc.costs, dirs, T2, bounds, 40, blocked); rf5 == rf1 {
@@ -356,5 +389,3 @@ func abs(x int) int {
 	}
 	return x
 }
-
-var _ = fmt.Sprintf // keep fmt for debugging helpers

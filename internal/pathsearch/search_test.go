@@ -415,7 +415,8 @@ func TestPFutureAdmissibleAndDirected(t *testing.T) {
 	h := NewHFuture(2, costs, targets)
 	ph := Search(w.config(costs, h, nil), S, T)
 
-	p := NewPFuture(2, costs, targets, geom.R(0, 0, 400, 400), PFutureConfig{
+	// π_P: the coarse-grid π with unit weights (no layer directions).
+	p := NewRFuture(2, costs, targets, geom.R(0, 0, 400, 400), RFutureConfig{
 		Cell: 40,
 		Blocked: func(z int, cell geom.Rect) bool {
 			for _, r := range w.blocked[z] {

@@ -54,8 +54,8 @@ type OptionsWire struct {
 	SkipGlobal   bool    `json:"skip_global,omitempty"`
 	UsePFuture   bool    `json:"use_pfuture,omitempty"`
 	// FutureMode selects the detailed-routing future-cost family:
-	// 0 legacy π_H, 1 per-net auto (reduced-graph π_R for large nets),
-	// 2 always reduced-graph.
+	// 0 π_H (π_P under use_pfuture), 2 the reduced-graph π_R. Any other
+	// value (including the retired 1) is rejected with 400.
 	FutureMode   int     `json:"future_mode,omitempty"`
 	EcoThreshold float64 `json:"eco_threshold,omitempty"`
 	// ExactSteinerMax is the net-degree threshold for the exact
@@ -64,7 +64,11 @@ type OptionsWire struct {
 	ExactSteinerMax int `json:"exact_steiner_max,omitempty"`
 }
 
-func (o OptionsWire) toOptions() bonnroute.Options {
+func (o OptionsWire) toOptions() (bonnroute.Options, error) {
+	if fm := bonnroute.FutureMode(o.FutureMode); fm != bonnroute.FutureDefault && fm != bonnroute.FutureReduced {
+		return bonnroute.Options{}, fmt.Errorf("future_mode %d: want %d (default) or %d (reduced)",
+			o.FutureMode, bonnroute.FutureDefault, bonnroute.FutureReduced)
+	}
 	return bonnroute.Options{
 		Seed: o.Seed, Workers: o.Workers, GlobalPhases: o.GlobalPhases,
 		TileTracks: o.TileTracks, PowerCap: o.PowerCap,
@@ -72,7 +76,7 @@ func (o OptionsWire) toOptions() bonnroute.Options {
 		FutureMode:      bonnroute.FutureMode(o.FutureMode),
 		EcoThreshold:    o.EcoThreshold,
 		ExactSteinerMax: o.ExactSteinerMax,
-	}
+	}, nil
 }
 
 type createRequest struct {
@@ -248,6 +252,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad session name")
 		return
 	}
+	opt, err := req.Options.toOptions()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 
 	// Reserve the name before routing so a concurrent create of the
 	// same name conflicts now, not after minutes of routing.
@@ -298,7 +307,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	c := bonnroute.GenerateChip(req.Chip.params())
-	opt := req.Options.toOptions()
 
 	if req.Stream || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		committed = s.createStreaming(ctx, w, ss, c, opt)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bonnroute"
+	"bonnroute/internal/incremental"
 	"bonnroute/internal/verify"
 )
 
@@ -133,6 +134,23 @@ func TestServiceEndToEnd(t *testing.T) {
 	resp, _ = postJSON(t, client, ts.URL+"/sessions", createRequest{Name: "a", Chip: tinyChip})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create: %d", resp.StatusCode)
+	}
+
+	// Unknown future_mode values — including the retired 1 — are
+	// rejected before any routing, and no session is left behind.
+	for _, fm := range []int{1, 7, -1} {
+		resp, body = postJSON(t, client, ts.URL+"/sessions", createRequest{
+			Name: "bad-fm", Chip: tinyChip, Options: OptionsWire{FutureMode: fm},
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "future_mode") {
+			t.Fatalf("future_mode %d: %d %s, want 400", fm, resp.StatusCode, body)
+		}
+	}
+	if resp, _ = getJSON(t, client, ts.URL+"/sessions/bad-fm/result"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("rejected create left a session behind: %d", resp.StatusCode)
+	}
+	if opt, err := (OptionsWire{FutureMode: 2}).toOptions(); err != nil || opt.FutureMode != bonnroute.FutureReduced {
+		t.Fatalf("future_mode 2 must map to FutureReduced: %+v %v", opt, err)
 	}
 
 	// Streamed create: trace events followed by a terminal done event.
@@ -372,7 +390,7 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestServiceEcoBitIdentical is the differential test: an ECO applied
 // through the daemon (JSON over HTTP, session machinery, admission)
-// must produce the bit-identical result of a direct bonnroute.Reroute
+// must produce the bit-identical result of a direct incremental.Reroute
 // with the same seed and options.
 func TestServiceEcoBitIdentical(t *testing.T) {
 	svc := New(Config{})
@@ -409,7 +427,7 @@ func TestServiceEcoBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := bonnroute.Route(context.Background(), c, bonnroute.WithSeed(31))
-	directEco, _, err := bonnroute.Reroute(context.Background(), direct, delta2, bonnroute.WithSeed(31))
+	directEco, _, err := incremental.Reroute(context.Background(), direct, delta2, bonnroute.Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 func TestOptionComposition(t *testing.T) {
 	tr := obs.New(obs.NewMemorySink())
 	o := buildOptions([]Option{
+		WithOptions(Options{UsePFuture: true, FutureMode: FutureReduced}),
 		WithWorkers(8),
 		WithSeed(7),
 		WithTracer(tr),
 		WithGlobalConfig(GlobalConfig{Phases: 16, TileTracks: 10, PowerCap: 50}),
-		WithDetailConfig(DetailConfig{UsePFuture: true}),
 	})
 	if o.Workers != 8 || o.Seed != 7 || o.Tracer != tr {
 		t.Fatalf("basic options not applied: %+v", o)
@@ -23,8 +23,8 @@ func TestOptionComposition(t *testing.T) {
 	if o.GlobalPhases != 16 || o.TileTracks != 10 || o.PowerCap != 50 {
 		t.Fatalf("global config not applied: %+v", o)
 	}
-	if !o.UsePFuture {
-		t.Fatalf("detail config not applied: %+v", o)
+	if !o.UsePFuture || o.FutureMode != FutureReduced {
+		t.Fatalf("detail options not applied: %+v", o)
 	}
 	if o.SkipGlobal {
 		t.Fatal("SkipGlobal must default to false")
@@ -115,23 +115,6 @@ func TestGlobalConfigExactSteiner(t *testing.T) {
 	o = buildOptions([]Option{WithGlobalConfig(GlobalConfig{ExactSteiner: -1})})
 	if o.ExactSteinerMax != -1 {
 		t.Fatalf("disabling via negative literal must apply: %+v", o)
-	}
-}
-
-func TestDetailConfigExplicitFalse(t *testing.T) {
-	o := buildOptions([]Option{
-		WithDetailConfig(DetailConfig{UsePFuture: true}),
-		WithDetailConfig(DetailConfig{}), // literal zero merges
-	})
-	if !o.UsePFuture {
-		t.Fatal("literal zero UsePFuture must keep the earlier setting")
-	}
-	o = buildOptions([]Option{
-		WithDetailConfig(DetailConfig{UsePFuture: true}),
-		WithDetailConfig(DetailConfig{}.SetUsePFuture(false)),
-	})
-	if o.UsePFuture {
-		t.Fatal("SetUsePFuture(false) must disable the future cost")
 	}
 }
 

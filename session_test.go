@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bonnroute"
+	"bonnroute/internal/incremental"
 )
 
 func sessionChip() *bonnroute.Chip {
@@ -15,12 +16,13 @@ func sessionChip() *bonnroute.Chip {
 }
 
 // A session reroute with the pinned options must be bit-equal in the
-// headline metrics to the deprecated bare Reroute fed the same options
+// headline metrics to a bare incremental.Reroute fed the same options
 // by hand — the session only removes the pairing hazard, it must not
 // change results.
 func TestSessionMatchesBareReroute(t *testing.T) {
 	ctx := context.Background()
-	opts := []bonnroute.Option{bonnroute.WithSeed(31)}
+	opt := bonnroute.Options{Seed: 31}
+	opts := []bonnroute.Option{bonnroute.WithOptions(opt)}
 
 	s, err := bonnroute.NewSession(ctx, sessionChip(), opts...)
 	if err != nil {
@@ -32,7 +34,7 @@ func TestSessionMatchesBareReroute(t *testing.T) {
 	delta := bonnroute.RandomDelta(s.Chip(), 7, bonnroute.EcoGenConfig{})
 
 	prev := bonnroute.Route(ctx, sessionChip(), opts...)
-	want, wantStats, err := bonnroute.Reroute(ctx, prev, delta, opts...)
+	want, wantStats, err := incremental.Reroute(ctx, prev, delta, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
