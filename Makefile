@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race test-race vet bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
+.PHONY: all build test race test-race vet heap-lint bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke alloc-guard service-smoke steiner-smoke scale-smoke check bench-json bench-pathsearch bench-scaling bench-eco bench-service bench-steiner bench-scale
 
 all: build
 
@@ -29,6 +29,16 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# heap-lint keeps one priority queue for every Dijkstra: no non-test
+# file may import container/heap (it boxes one allocation per Push), and
+# no file outside internal/heapq may define its own push/pop pair over a
+# slice heap.
+heap-lint:
+	@if grep -rl --include='*.go' --exclude='*_test.go' '"container/heap"' . ; then \
+		echo 'heap-lint: container/heap imported outside tests; use internal/heapq'; exit 1; fi
+	@if grep -rnE --include='*.go' 'func \(h \*[A-Za-z0-9_]+\) (push|pop)\(' . | grep -v '^\./internal/heapq/' ; then \
+		echo 'heap-lint: hand-rolled heap outside internal/heapq'; exit 1; fi
 
 # bench-smoke runs the interval-vs-node benchmarks once each: a fast
 # sanity check that the path-search hot path still finds the long
@@ -69,10 +79,11 @@ fuzz-scale-smoke:
 # scale-smoke is the order-of-magnitude gate below the 10⁵-net bench:
 # a 10⁴-net ScaledParams chip routed end to end and verified with the
 # sampled pass matrix, plus the full-flow sharded-vs-unsharded worker
-# bit-identity check. Behind the `scale` build tag so `go test ./...`
-# never pays for it; takes several minutes on one core.
+# bit-identity check and the 1.5k-net notch-patch conservation
+# reproducer. Behind the `scale` build tag so `go test ./...` never pays
+# for it; takes several minutes on one core.
 scale-smoke:
-	$(GO) test -tags scale -timeout 60m -run 'TestScaleSmoke|TestShardedFlowBitIdentity' ./internal/scale
+	$(GO) test -tags scale -timeout 60m -run 'TestScaleSmoke|TestShardedFlowBitIdentity|TestScaleNotchPatchConservation' ./internal/scale
 
 # alloc-guard re-runs the steady-state allocation tests: the no-op
 # tracer must stay allocation-free, the pooled path-search engine must
@@ -81,8 +92,11 @@ scale-smoke:
 # future-cost requests (the rip-up retry / ECO re-query path) must be
 # allocation-free, the region-task scheduler's own dispatch overhead
 # must stay bounded so the parallel path cannot erode those budgets,
-# and the Steiner oracles (Path Composition and the exact goal-oriented
-# search) must hold their steady-state per-call budgets once warm.
+# the Steiner oracles (Path Composition and the exact goal-oriented
+# search) must hold their steady-state per-call budgets once warm, the
+# shared priority queue must push and pop without allocating, and the
+# pooled blockage-grid searcher (pin access) must allocate only the
+# paths it returns.
 # The scale lane pins deterministic bytes-per-net budgets (shape grid
 # and fast grid on freshly built 10³- and 10⁴-net spaces, interval map
 # per run) with +10% headroom: the accounting derives from element
@@ -92,6 +106,8 @@ alloc-guard:
 	$(GO) test -run 'TestSteadyStateAllocs|TestParallelSteadyStateAllocs|TestFutureSteadyStateAllocs' ./internal/pathsearch
 	$(GO) test -run 'TestSchedulerAllocs' ./internal/detail
 	$(GO) test -run 'TestOracleSteadyStateAllocs' ./internal/steiner
+	$(GO) test -run 'TestSteadyStateAllocs' ./internal/heapq
+	$(GO) test -run 'TestSearcherSteadyStateAllocs' ./internal/blockgrid
 	$(GO) test -tags scale -timeout 30m -run 'TestBytesPerNetBudget|TestIntervalMapBytesPerRun' ./internal/scale
 
 # service-smoke starts the routing daemon on a loopback port, walks one
@@ -110,14 +126,14 @@ service-smoke:
 steiner-smoke:
 	$(GO) test -run 'TestExactDifferential|TestExactPlanarMatchesRSMT' ./internal/steiner
 
-# check is the pre-merge gate: vet, build, the full test suite, the
+# check is the pre-merge gate: vet, the heap lint, build, the full test suite, the
 # targeted race lane, the benchmark smoke test, the trace smoke test,
 # the verifier fuzz sweeps (plain, ECO, and scale), the Steiner oracle
 # differential, the allocation guards (including the scale-tier memory
 # budgets), the service daemon round-trip, and the 10⁴-net scale smoke.
 # (`make race` — the whole suite under -race — stays available as the
 # long-form lane.)
-check: vet build test test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
+check: vet heap-lint build test test-race bench-smoke trace-smoke fuzz-smoke fuzz-eco-smoke fuzz-scale-smoke steiner-smoke alloc-guard service-smoke scale-smoke
 
 # bench-json regenerates the committed benchmark artifact (small suite
 # plus the path-search micro-benchmarks). Each chip's flows carry a `pi`

@@ -76,9 +76,9 @@ func main() {
 		})
 	}
 	opts := []bonnroute.Option{
+		bonnroute.WithOptions(bonnroute.Options{GlobalPhases: *phases}),
 		bonnroute.WithWorkers(*workers),
 		bonnroute.WithSeed(*seed),
-		bonnroute.WithGlobalConfig(bonnroute.GlobalConfig{Phases: *phases}),
 		bonnroute.WithTracer(tracer),
 	}
 

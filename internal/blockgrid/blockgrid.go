@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"bonnroute/internal/geom"
+	"bonnroute/internal/heapq"
 )
 
 // Coordinates runs Algorithm 3 on one axis: base holds the obstacle
@@ -92,7 +93,7 @@ type Searcher struct {
 	dist    []int
 	parent  []int32
 	done    []bool
-	pq      bheap
+	pq      heapq.Heap[int, int32] // key: distance; value: state id
 }
 
 // NewSearcher returns an empty searcher; buffers grow on demand.
@@ -235,21 +236,26 @@ func (s *Searcher) dijkstra(from, to bvertex) ([]geom.Point, int, bool) {
 		}
 		dist[id] = d
 		parent[id] = fromID
-		pq.push(bitem{d, int32(id)})
+		pq.Push(heapq.Item[int, int32]{Key: d, Val: int32(id)})
 	}
 	relax(bstate{from, dirNone}, 0, -1)
 
 	for len(pq) > 0 {
-		it := pq.pop()
-		id := int(it.id)
-		if done[id] || it.d > dist[id] {
+		it := pq.Pop()
+		id := int(it.Val)
+		if done[id] || it.Key > dist[id] {
 			continue
 		}
 		done[id] = true
 		st := g.stateOf(id)
 		if st.v == to {
-			// Reconstruct.
-			var pts []geom.Point
+			// Reconstruct, sizing the result once: it is the only
+			// allocation of a search on warm buffers.
+			n := 0
+			for cur := int32(id); cur >= 0; cur = parent[cur] {
+				n++
+			}
+			pts := make([]geom.Point, 0, n)
 			for cur := int32(id); cur >= 0; cur = parent[cur] {
 				cs := g.stateOf(int(cur))
 				p := geom.Pt(g.xs[cs.v.xi], g.ys[cs.v.yi])
@@ -261,10 +267,10 @@ func (s *Searcher) dijkstra(from, to bvertex) ([]geom.Point, int, bool) {
 				pts[i], pts[j] = pts[j], pts[i]
 			}
 			s.pq = pq[:0]
-			return pts, it.d, true
+			return pts, it.Key, true
 		}
 		g.neighbors(st, func(nb bstate, cost int) {
-			relax(nb, it.d+cost, int32(id))
+			relax(nb, it.Key+cost, int32(id))
 		})
 	}
 	s.pq = pq[:0]
@@ -368,57 +374,6 @@ func (g *bgraph) neighbors(st bstate, visit func(nb bstate, cost int)) {
 		jump(dirE)
 		jump(dirW)
 	}
-}
-
-type bitem struct {
-	d  int
-	id int32
-}
-
-// bheap is a concrete-typed binary min-heap on d. The sift order matches
-// container/heap's exactly (left child preferred on ties), so replacing
-// the interface-based heap — which boxed one allocation per Push — left
-// pop sequences, and therefore found paths, unchanged.
-type bheap []bitem
-
-func (h *bheap) push(it bitem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[i].d >= s[p].d {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *bheap) pop() bitem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l].d < s[m].d {
-			m = l
-		}
-		if r < n && s[r].d < s[m].d {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
 }
 
 // MergeCollinear merges consecutive waypoints that continue in the same

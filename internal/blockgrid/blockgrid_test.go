@@ -217,3 +217,65 @@ func TestSegmentsOK(t *testing.T) {
 		t.Fatal("empty path rejected")
 	}
 }
+
+// pinAccessProbes is a pin-access-shaped workload at the default deck's
+// scale (pitch 40, τ = 40): a 20×60 pin centre boxed in by inflated
+// neighbour pins and a cell blockage, probed towards on-track endpoints
+// up to four pitches away, within the pin expanded by 4·pitch + 2τ, as
+// pinaccess.BuildCatalogue does per pin.
+func pinAccessProbes() (obst []geom.Rect, start geom.Point, ends []geom.Point, tau int, bounds geom.Rect) {
+	obst = []geom.Rect{
+		geom.R(-110, -60, -50, 60), // neighbour pin
+		geom.R(50, -60, 110, 60),   // neighbour pin
+		geom.R(-40, 70, 40, 110),   // cell blockage
+	}
+	start, tau = geom.Pt(0, 0), 40
+	bounds = geom.R(-10, -30, 10, 30).Expanded(4*40 + 2*tau)
+	for _, x := range []int{-120, -40, 40, 120} {
+		for _, y := range []int{-160, 160} {
+			ends = append(ends, geom.Pt(x, y))
+		}
+	}
+	return obst, start, ends, tau, bounds
+}
+
+// TestSearcherSteadyStateAllocs pins the pooled searcher's budget: once
+// its grid, Dijkstra arrays and queue have grown, a probe allocates only
+// the waypoint slice it returns.
+func TestSearcherSteadyStateAllocs(t *testing.T) {
+	obst, start, ends, tau, bounds := pinAccessProbes()
+	sr := NewSearcher()
+	found := 0
+	probe := func() {
+		found = 0
+		for _, end := range ends {
+			if _, _, ok := sr.Search(obst, start, end, tau, bounds); ok {
+				found++
+			}
+		}
+	}
+	probe()
+	if found == 0 {
+		t.Fatal("no probe found a path")
+	}
+	if got := testing.AllocsPerRun(20, probe); got != float64(found) {
+		t.Fatalf("%d probes finding %d paths allocate %.1f times, want one per path", len(ends), found, got)
+	}
+}
+
+func BenchmarkSearcher(b *testing.B) {
+	obst, start, ends, tau, bounds := pinAccessProbes()
+	sr := NewSearcher()
+	found := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, end := range ends {
+			if _, _, ok := sr.Search(obst, start, end, tau, bounds); ok {
+				found++
+			}
+		}
+	}
+	if found == 0 {
+		b.Fatal("no probe found a path")
+	}
+}

@@ -555,7 +555,10 @@ func (r *Router) patchNotches(ni int) {
 					continue
 				}
 				for _, piece := range geom.SubtractRects(box, rects) {
-					if r.Space.RectNeed(z, piece, rules.ClassStandard, net) != 0 {
+					// Shapes may overhang the chip edge, and so may the
+					// gap between them; the space cannot hold a patch
+					// wholly outside the chip area.
+					if !piece.Intersects(r.Chip.Area) || r.Space.RectNeed(z, piece, rules.ClassStandard, net) != 0 {
 						continue
 					}
 					sh := shapegrid.Shape{

@@ -1,72 +1,30 @@
 package pathsearch
 
-import "math/bits"
+import (
+	"math/bits"
 
-// pqItem is a priority-queue entry: either a fresh label (side 0), a sweep
-// continuation for one frontier of a label (side ±1), or a node-search
-// state (label = state index). seq is the global insertion counter; equal
-// keys pop newest-first (LIFO), so pop order — and therefore routing
-// output — is identical between the bucket queue and the heap fallback,
-// and deterministic across runs. LIFO ties finish the most recent
+	"bonnroute/internal/heapq"
+)
+
+// pqItem is a priority-queue entry, keyed by the search key. Its Tie is
+// the negated global insertion counter seq, so equal keys pop
+// newest-first (LIFO) and pop order — and therefore routing output — is
+// identical between the bucket queue and the heap fallback, and
+// deterministic across runs. LIFO ties finish the most recent
 // exploration before revisiting equal-cost alternatives, which measures
 // slightly better route quality than FIFO on the benchmark chips.
-type pqItem struct {
-	key   int
-	seq   int32
+type pqItem = heapq.Item[int, pqRef]
+
+// pqRef is what an entry refers to: a fresh label (side 0), a sweep
+// continuation for one frontier of a label (side ±1), or a node-search
+// state (label = state index).
+type pqRef struct {
 	label int32
 	side  int8
 }
 
-func (a pqItem) less(b pqItem) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	return a.seq > b.seq
-}
-
-// pqHeap is a concrete-typed binary min-heap ordered by (key, seq).
-// Hand-rolled sift avoids the interface{} boxing of container/heap, which
-// costs one allocation per Push.
-type pqHeap []pqItem
-
-func (h *pqHeap) push(it pqItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[i].less(s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *pqHeap) pop() pqItem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s[l].less(s[m]) {
-			m = l
-		}
-		if r < n && s[r].less(s[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
+func newPQItem(key int, seq, label int32, side int8) pqItem {
+	return pqItem{Key: key, Tie: -int64(seq), Val: pqRef{label, side}}
 }
 
 // bucketWindow is the key window of the Dial queue. It must exceed the
@@ -90,7 +48,7 @@ type bucketQueue struct {
 	cur     int
 	n       int // items held in buckets
 	started bool
-	over    pqHeap
+	over    heapq.Heap[int, pqRef]
 }
 
 func (q *bucketQueue) reset() {
@@ -113,13 +71,13 @@ func (q *bucketQueue) empty() bool { return q.n == 0 && len(q.over) == 0 }
 func (q *bucketQueue) push(it pqItem) {
 	if !q.started {
 		q.started = true
-		q.cur = it.key
+		q.cur = it.Key
 	}
-	if it.key < q.cur || it.key >= q.cur+bucketWindow {
-		q.over.push(it)
+	if it.Key < q.cur || it.Key >= q.cur+bucketWindow {
+		q.over.Push(it)
 		return
 	}
-	b := it.key & bucketMask
+	b := it.Key & bucketMask
 	q.buckets[b] = append(q.buckets[b], it)
 	q.occ[b/64] |= 1 << (b % 64)
 	q.n++
@@ -157,19 +115,19 @@ func (q *bucketQueue) pop() (pqItem, bool) {
 	// back against the overflow top yields the exact global order.
 	if len(q.over) > 0 {
 		if q.n == 0 {
-			it := q.over.pop()
-			if it.key > q.cur {
-				q.cur = it.key
+			it := q.over.Pop()
+			if it.Key > q.cur {
+				q.cur = it.Key
 			}
 			return it, true
 		}
 		top := q.over[0]
 		b := bkey & bucketMask
 		front := q.buckets[b][len(q.buckets[b])-1]
-		if top.less(front) {
-			it := q.over.pop()
-			if it.key > q.cur {
-				q.cur = it.key
+		if top.Less(front) {
+			it := q.over.Pop()
+			if it.Key > q.cur {
+				q.cur = it.Key
 			}
 			return it, true
 		}
@@ -182,7 +140,7 @@ func (q *bucketQueue) pop() (pqItem, bool) {
 	if last == 0 {
 		q.occ[b/64] &^= 1 << (b % 64)
 	}
-	q.cur = it.key
+	q.cur = it.Key
 	return it, true
 }
 
@@ -193,7 +151,7 @@ func (q *bucketQueue) pop() (pqItem, bool) {
 type searchQueue struct {
 	useBuckets bool
 	bq         *bucketQueue
-	hq         pqHeap
+	hq         heapq.Heap[int, pqRef]
 }
 
 func (q *searchQueue) reset(useBuckets bool) {
@@ -211,7 +169,7 @@ func (q *searchQueue) push(it pqItem) {
 	if q.useBuckets {
 		q.bq.push(it)
 	} else {
-		q.hq.push(it)
+		q.hq.Push(it)
 	}
 }
 
@@ -222,7 +180,7 @@ func (q *searchQueue) pop() (pqItem, bool) {
 	if len(q.hq) == 0 {
 		return pqItem{}, false
 	}
-	return q.hq.pop(), true
+	return q.hq.Pop(), true
 }
 
 func (q *searchQueue) empty() bool {

@@ -3,6 +3,8 @@ package pathsearch
 import (
 	"math/rand"
 	"testing"
+
+	"bonnroute/internal/heapq"
 )
 
 // runQueueSequence drives a bucketQueue and a reference (key, seq) heap
@@ -17,7 +19,7 @@ func runQueueSequence(t *testing.T, maxStep int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var bq bucketQueue
 	bq.reset()
-	var ref pqHeap
+	var ref heapq.Heap[int, pqRef]
 	seq := int32(0)
 	frontier := 0 // key of the last popped item
 
@@ -25,21 +27,21 @@ func runQueueSequence(t *testing.T, maxStep int, seed int64) {
 		if key < 0 {
 			key = 0
 		}
-		it := pqItem{key: key, seq: seq, label: seq, side: int8(rng.Intn(3) - 1)}
+		it := newPQItem(key, seq, seq, int8(rng.Intn(3)-1))
 		seq++
 		bq.push(it)
-		ref.push(it)
+		ref.Push(it)
 	}
 	popBoth := func() {
 		got, ok := bq.pop()
 		if !ok {
 			t.Fatal("bucket queue empty while reference heap is not")
 		}
-		want := ref.pop()
+		want := ref.Pop()
 		if got != want {
 			t.Fatalf("maxStep=%d: pop order diverged: bucket %+v, heap %+v", maxStep, got, want)
 		}
-		frontier = got.key
+		frontier = got.Key
 	}
 
 	push(rng.Intn(100))

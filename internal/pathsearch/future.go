@@ -2,6 +2,7 @@ package pathsearch
 
 import (
 	"bonnroute/internal/geom"
+	"bonnroute/internal/heapq"
 )
 
 // FutureCost is the potential function π of the goal-directed search: a
@@ -239,66 +240,6 @@ func pts3Equal(a, b []geom.Point3) bool {
 	return true
 }
 
-// distItem is one coarse-grid Dijkstra queue entry: tentative distance
-// plus the flattened node index. Ties break on the node index, so the
-// settle order — and with it every dist array — is deterministic.
-type distItem struct {
-	d    int32
-	node int32
-}
-
-// distHeap is a plain typed binary min-heap for future-cost construction.
-// It replaces the old container/heap cellHeap, whose interface{} boxing
-// allocated on every Push/Pop inside the coarse-grid Dijkstra.
-type distHeap []distItem
-
-func (h distItem) less(o distItem) bool {
-	return h.d < o.d || (h.d == o.d && h.node < o.node)
-}
-
-func (h *distHeap) push(it distItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s[i].less(s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *distHeap) pop() (distItem, bool) {
-	s := *h
-	if len(s) == 0 {
-		return distItem{}, false
-	}
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s[l].less(s[small]) {
-			small = l
-		}
-		if r < n && s[r].less(s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top, true
-}
-
 // RFuture is the coarse-grid future cost: exact backward Dijkstra
 // distances on a compressed grid that keeps large blockages, slacked for
 // discretization and maxed pointwise with π_H, so it is never weaker
@@ -401,8 +342,10 @@ func NewRFuture(numLayers int, costs Costs, targets map[int][]geom.Rect,
 	}
 
 	// Multi-source backward Dijkstra from target cells under the
-	// anisotropic weights.
-	var pq distHeap
+	// anisotropic weights. Queue entries are keyed by tentative distance;
+	// Tie is the flattened node index, so ties break on it and the settle
+	// order — and with it every dist array — is deterministic.
+	var pq heapq.Heap[int32, struct{}]
 	push := func(cx, cy, z int, d int32) {
 		if cx < 0 || cx >= nx || cy < 0 || cy >= ny || z < 0 || z >= numLayers {
 			return
@@ -415,7 +358,7 @@ func NewRFuture(numLayers int, costs Costs, targets map[int][]geom.Rect,
 			return
 		}
 		p.dist[i] = d
-		pq.push(distItem{d: d, node: int32(i)})
+		pq.Push(heapq.Item[int32, struct{}]{Key: d, Tie: int64(i)})
 	}
 	for z, rs := range targets {
 		for _, r := range rs {
@@ -428,13 +371,10 @@ func NewRFuture(numLayers int, costs Costs, targets map[int][]geom.Rect,
 			}
 		}
 	}
-	for {
-		it, ok := pq.pop()
-		if !ok {
-			break
-		}
-		i := int(it.node)
-		if p.dist[i] != it.d {
+	for len(pq) > 0 {
+		it := pq.Pop()
+		i := int(it.Tie)
+		if p.dist[i] != it.Key {
 			continue
 		}
 		z := i / (nx * ny)
@@ -442,15 +382,15 @@ func NewRFuture(numLayers int, costs Costs, targets map[int][]geom.Rect,
 		cy, cx := rem/nx, rem%nx
 		stepX := wx[z] * int32(cell)
 		stepY := wy[z] * int32(cell)
-		push(cx-1, cy, z, it.d+stepX)
-		push(cx+1, cy, z, it.d+stepX)
-		push(cx, cy-1, z, it.d+stepY)
-		push(cx, cy+1, z, it.d+stepY)
+		push(cx-1, cy, z, it.Key+stepX)
+		push(cx+1, cy, z, it.Key+stepX)
+		push(cx, cy-1, z, it.Key+stepY)
+		push(cx, cy+1, z, it.Key+stepY)
 		if z > 0 {
-			push(cx, cy, z-1, it.d+int32(costs.GammaVia[z-1]))
+			push(cx, cy, z-1, it.Key+int32(costs.GammaVia[z-1]))
 		}
 		if z+1 < numLayers {
-			push(cx, cy, z+1, it.d+int32(costs.GammaVia[z]))
+			push(cx, cy, z+1, it.Key+int32(costs.GammaVia[z]))
 		}
 	}
 	return p

@@ -112,9 +112,9 @@ func (e *Engine) runNode(S, T []geom.Point3) *Path {
 		if !ok {
 			break
 		}
-		si := it.label
+		si := it.Val.label
 		st := &e.nodes[si]
-		if st.done || it.key != st.dist+e.pi(int(st.z), int(st.ti), st.along) {
+		if st.done || it.Key != st.dist+e.pi(int(st.z), int(st.ti), st.along) {
 			continue // stale entry (lazy deletion)
 		}
 		st.done = true
@@ -166,7 +166,7 @@ func (e *Engine) nodeRelax(si int32, d int, from int32) {
 		st.dist = d
 		st.parent = from
 		key := d + e.pi(int(st.z), int(st.ti), st.along)
-		e.npq.push(pqItem{key: key, seq: e.seq, label: si})
+		e.npq.push(newPQItem(key, e.seq, si, 0))
 		e.seq++
 	}
 }

@@ -27,11 +27,13 @@ func TestScratchRFutureAdmissibilityNonUniform(t *testing.T) {
 			x0, y0 := rng.Intn(250), rng.Intn(250)
 			w.block(z, geom.R(x0, y0, x0+20+rng.Intn(80), y0+20+rng.Intn(80)))
 		}
-		// random targets
+		// random on-track targets: an off-track target is unreachable
+		// and would leave nothing to compare against
+		verts := trackVertices(w)
 		var T []geom.Point3
 		nT := 1 + rng.Intn(3)
 		for i := 0; i < nT; i++ {
-			T = append(T, geom.Pt3(5+rng.Intn(290), 5+rng.Intn(290), rng.Intn(4)))
+			T = append(T, verts[rng.Intn(len(verts))])
 		}
 		targets := map[int][]geom.Rect{}
 		ok := true
@@ -59,7 +61,6 @@ func TestScratchRFutureAdmissibilityNonUniform(t *testing.T) {
 		cell := 10 + rng.Intn(60)
 		rf := NewRFuture(4, costs, targets, w.tg.Area, RFutureConfig{Cell: cell, Dirs: dirs, Blocked: blocked})
 		cfg := w.config(costs, nil, nil)
-		verts := trackVertices(w)
 		checked := 0
 		for i := 0; i < len(verts) && checked < 40; i++ {
 			u := verts[rng.Intn(len(verts))]
@@ -75,6 +76,9 @@ func TestScratchRFutureAdmissibilityNonUniform(t *testing.T) {
 				t.Fatalf("trial %d cell %d: inadmissible at %v: pi=%d > exact %d (beta=%v gamma=%v targets=%v)",
 					trial, cell, u, got, p.Cost, costs.BetaJog, costs.GammaVia, T)
 			}
+		}
+		if checked < 20 {
+			t.Fatalf("trial %d: only %d vertices reached the targets %v, want at least 20", trial, checked, T)
 		}
 	}
 }

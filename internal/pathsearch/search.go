@@ -331,11 +331,11 @@ func (e *Engine) run(S, T []geom.Point3) *Path {
 
 	for {
 		it, ok := e.pq.pop()
-		if !ok || it.key >= e.best {
+		if !ok || it.Key >= e.best {
 			break
 		}
 		e.stats.HeapPops++
-		e.sweep(it.label, it.key, it.side)
+		e.sweep(it.Val.label, it.Key, it.Val.side)
 	}
 
 	if e.bestLabel < 0 {
@@ -395,7 +395,7 @@ func (e *Engine) addLabel(iv *ival, pos, key int, parent int32, parentPos int) b
 }
 
 func (e *Engine) pushPQ(key int, li int32, side int8) {
-	e.pq.push(pqItem{key: key, seq: e.seq, label: li, side: side})
+	e.pq.push(newPQItem(key, e.seq, li, side))
 	e.seq++
 }
 

@@ -70,3 +70,28 @@ func TestShardedFlowBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleNotchPatchConservation pins a conservation bug found on the
+// 1.5k-net scale chip: notch patching filled the gap between two shapes
+// of net 1196 that overhang the chip's right edge (x = 26240) with a
+// patch wholly outside the chip area. The shape grid cannot index metal
+// out there and dropped it, while the net's bookkeeping still claimed
+// it, so verify's conservation pass reported the patch missing. Halving
+// the chip loses the overhanging geometry, so the full chip is the
+// smallest reproducer.
+func TestScaleNotchPatchConservation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1.5k-net route skipped in -short mode")
+	}
+	c := chip.Generate(chip.ScaledParams("scale777", 777, 1500))
+	res := core.RouteBonnRoute(context.Background(), c, core.Options{Seed: 1, Workers: 1})
+	rep := verify.Run(res, verify.Options{
+		SpacingSampleCap:    400,
+		SpacingSampleSeed:   1,
+		FastGridStride:      16 * c.Deck.Layers[0].Pitch,
+		FastGridTrackStride: 8,
+	})
+	for _, v := range rep.Violations {
+		t.Errorf("%s", v)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"bonnroute/internal/geom"
 	"bonnroute/internal/grid"
+	"bonnroute/internal/heapq"
 )
 
 // This file is the differential harness for the exact oracle: an
@@ -83,53 +84,51 @@ func ReferenceTreeCost(g *grid.Graph, cost func(e int) float64, terminals [][]in
 		}
 		done[I] = make([]bool, n)
 	}
-	var hq exHeap
+	var hq heapq.Heap[float64, float64]
 	for j := 1; j < k; j++ {
 		I := 1 << (j - 1)
 		for _, v := range merged[j] {
 			if dist[I][v] != 0 {
 				dist[I][v] = 0
-				hq.push(exItem{0, 0, int32(v), uint16(I)})
+				hq.Push(newExItem(0, 0, int32(v), uint16(I)))
 			}
 		}
 	}
-	for {
-		it, nonempty := hq.pop()
-		if !nonempty {
-			break
-		}
-		I, v := int(it.sub), int(it.v)
-		if done[I][v] || it.l > dist[I][v] {
+	for len(hq) > 0 {
+		it := hq.Pop()
+		v32, sub := exState(it)
+		I, v, l := int(sub), int(v32), it.Val
+		if done[I][v] || l > dist[I][v] {
 			continue
 		}
 		done[I][v] = true
 		if I == full && compAt[v] == 0 {
-			return it.l, true
+			return l, true
 		}
 		for J := 1; J <= full; J++ {
 			if J&I != 0 || !done[J][v] {
 				continue
 			}
 			S := I | J
-			if l2 := it.l + dist[J][v]; !done[S][v] && l2 < dist[S][v] {
+			if l2 := l + dist[J][v]; !done[S][v] && l2 < dist[S][v] {
 				dist[S][v] = l2
-				hq.push(exItem{l2, l2, int32(v), uint16(S)})
+				hq.Push(newExItem(l2, l2, int32(v), uint16(S)))
 			}
 		}
 		relax := func(w int, l2 float64) {
 			if !done[I][w] && l2 < dist[I][w] {
 				dist[I][w] = l2
-				hq.push(exItem{l2, l2, int32(w), uint16(I)})
+				hq.Push(newExItem(l2, l2, int32(w), uint16(I)))
 			}
 		}
 		if c := compAt[v]; c >= 0 {
 			for _, w := range merged[c] {
-				relax(w, it.l)
+				relax(w, l)
 			}
 		}
 		g.Neighbors(v, func(e, w int) {
 			if c := cost(e); c >= 0 {
-				relax(w, it.l+c)
+				relax(w, l+c)
 			}
 		})
 	}

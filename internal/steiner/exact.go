@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"bonnroute/internal/grid"
+	"bonnroute/internal/heapq"
 )
 
 // DefaultExactMax is the net-degree threshold under which the resource
@@ -85,7 +86,7 @@ type Exact struct {
 	// Edge dedup stamps for tree reconstruction.
 	edgeVer []int32
 
-	hq     exHeap
+	hq     heapq.Heap[float64, float64]
 	outBuf []int
 	stk    []exFrame
 }
@@ -212,19 +213,17 @@ func (x *Exact) groupDist(t int, sources []int, merged [][]int, cost func(int) f
 			ver[v] = x.cur
 			dist[v] = 0
 			done[v] = false
-			x.hq.push(exItem{0, 0, int32(v), 0})
+			x.hq.Push(newExItem(0, 0, int32(v), 0))
 		}
 	}
-	for {
-		it, nonempty := x.hq.pop()
-		if !nonempty {
-			break
-		}
-		v := int(it.v)
-		if done[v] || it.l > dist[v] {
+	for len(x.hq) > 0 {
+		it := x.hq.Pop()
+		v32, _ := exState(it)
+		v := int(v32)
+		if done[v] || it.Val > dist[v] {
 			continue
 		}
-		if it.l > bound {
+		if it.Val > bound {
 			break
 		}
 		done[v] = true
@@ -238,16 +237,16 @@ func (x *Exact) groupDist(t int, sources []int, merged [][]int, cost func(int) f
 				return
 			}
 			dist[w] = nd
-			x.hq.push(exItem{nd, nd, int32(w), 0})
+			x.hq.Push(newExItem(nd, nd, int32(w), 0))
 		}
 		if c := x.pc.compOf(v); c >= 0 {
 			for _, w := range merged[c] {
-				relax(w, it.l)
+				relax(w, it.Val)
 			}
 		}
 		x.g.Neighbors(v, func(e, w int) {
 			if c := cost(e); c >= 0 {
-				relax(w, it.l+c)
+				relax(w, it.Val+c)
 			}
 		})
 	}
@@ -342,26 +341,24 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 			s.touch(v, x.cur)
 			if s.dist[v] != 0 {
 				s.dist[v] = 0
-				x.hq.push(exItem{x.pi(v, I, k, bound), 0, int32(v), uint16(I)})
+				x.hq.Push(newExItem(x.pi(v, I, k, bound), 0, int32(v), uint16(I)))
 			}
 		}
 	}
 
 	goalV := int32(-1)
 	var goalCost float64
-	for {
-		it, nonempty := x.hq.pop()
-		if !nonempty {
-			break
-		}
-		I, v := int(it.sub), int(it.v)
+	for len(x.hq) > 0 {
+		it := x.hq.Pop()
+		v32, sub := exState(it)
+		I, v, l := int(sub), int(v32), it.Val
 		s := x.sub[I]
-		if s.ver[v] != x.cur || s.done[v] || it.l > s.dist[v] {
+		if s.ver[v] != x.cur || s.done[v] || l > s.dist[v] {
 			continue
 		}
 		s.done[v] = true
 		if I == full && x.pc.compOf(v) == 0 {
-			goalV, goalCost = it.v, it.l
+			goalV, goalCost = v32, l
 			break
 		}
 		// Merge with every disjoint subset already settled at v.
@@ -373,7 +370,7 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 			if int(J)&I != 0 {
 				continue
 			}
-			l2 := it.l + x.sub[J].dist[v]
+			l2 := l + x.sub[J].dist[v]
 			S := I | int(J)
 			ss := x.touchSub(S)
 			ss.touch(v, x.cur)
@@ -384,7 +381,7 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 				ss.dist[v] = l2
 				ss.parentEdge[v] = -2
 				ss.parentSub[v] = J
-				x.hq.push(exItem{key, l2, it.v, uint16(S)})
+				x.hq.Push(newExItem(key, l2, v32, uint16(S)))
 			}
 		}
 		x.sl[v] = append(x.sl[v], uint16(I))
@@ -396,14 +393,14 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 		if c := x.pc.compOf(v); c >= 0 {
 			for _, w := range merged[c] {
 				s.touch(w, x.cur)
-				if s.done[w] || it.l >= s.dist[w] {
+				if s.done[w] || l >= s.dist[w] {
 					continue
 				}
-				if key := it.l + x.pi(w, I, k, bound); key <= bound {
-					s.dist[w] = it.l
+				if key := l + x.pi(w, I, k, bound); key <= bound {
+					s.dist[w] = l
 					s.parentEdge[w] = -3
-					s.parentV[w] = it.v
-					x.hq.push(exItem{key, it.l, int32(w), uint16(I)})
+					s.parentV[w] = v32
+					x.hq.Push(newExItem(key, l, int32(w), uint16(I)))
 				}
 			}
 		}
@@ -413,7 +410,7 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 			if c < 0 {
 				return
 			}
-			l2 := it.l + c
+			l2 := l + c
 			s.touch(w, x.cur)
 			if s.done[w] || l2 >= s.dist[w] {
 				return
@@ -421,7 +418,7 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 			if key := l2 + x.pi(w, I, k, bound); key <= bound {
 				s.dist[w] = l2
 				s.parentEdge[w] = int32(e)
-				x.hq.push(exItem{key, l2, int32(w), uint16(I)})
+				x.hq.Push(newExItem(key, l2, int32(w), uint16(I)))
 			}
 		})
 	}
@@ -468,69 +465,17 @@ func (x *Exact) Tree(rawCost func(e int) float64, terminals [][]int) (edges []in
 	return append([]int(nil), out...), true, true
 }
 
-// exItem is one exact-search queue entry: key = ℓ + π orders the heap,
-// l carries ℓ for the stale-entry check. Ties break on (subset,
-// vertex) so the settle order — and every tree — is deterministic.
-type exItem struct {
-	key float64
-	l   float64
-	v   int32
-	sub uint16
+// exItem is one exact-search queue entry: Key = ℓ + π orders the heap,
+// Val carries ℓ for the stale-entry check, and Tie packs the (subset,
+// vertex) state, so ties break on (subset, vertex) and the settle order
+// — and every tree — is deterministic.
+type exItem = heapq.Item[float64, float64]
+
+func newExItem(key, l float64, v int32, sub uint16) exItem {
+	return exItem{Key: key, Tie: int64(sub)<<32 | int64(uint32(v)), Val: l}
 }
 
-func (a exItem) less(b exItem) bool {
-	if a.key != b.key {
-		return a.key < b.key
-	}
-	if a.sub != b.sub {
-		return a.sub < b.sub
-	}
-	return a.v < b.v
-}
-
-// exHeap is the typed binary min-heap of the exact search (no
-// container/heap boxing, as oHeap).
-type exHeap []exItem
-
-func (h *exHeap) push(it exItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s[i].less(s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *exHeap) pop() (exItem, bool) {
-	s := *h
-	if len(s) == 0 {
-		return exItem{}, false
-	}
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s[l].less(s[small]) {
-			small = l
-		}
-		if r < n && s[r].less(s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top, true
+// exState unpacks an entry's (vertex, subset).
+func exState(it exItem) (v int32, sub uint16) {
+	return int32(uint32(it.Tie)), uint16(it.Tie >> 32)
 }

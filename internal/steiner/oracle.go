@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"bonnroute/internal/grid"
+	"bonnroute/internal/heapq"
 )
 
 // Oracle is a reusable Path Composition solver. The resource sharing
@@ -28,7 +29,10 @@ type Oracle struct {
 	compVer []int32
 	compCur int32
 
-	pq oHeap
+	// pq is the Dijkstra queue keyed by distance. Tie is the vertex id:
+	// ties break on it, so pop order — and with it every tree — is
+	// deterministic.
+	pq heapq.Heap[float64, struct{}]
 
 	// Tree scratch, reused across calls (sized to the terminal count).
 	par       []int32 // terminal union-find parents
@@ -217,16 +221,13 @@ func (o *Oracle) dijkstra(cost func(e int) float64, group []int, reached []bool)
 		touch(v)
 		if o.dist[v] != 0 {
 			o.dist[v] = 0
-			o.pq.push(oItem{0, int32(v)})
+			o.pq.Push(heapq.Item[float64, struct{}]{Key: 0, Tie: int64(v)})
 		}
 	}
-	for {
-		it, nonempty := o.pq.pop()
-		if !nonempty {
-			break
-		}
-		v := int(it.v)
-		if o.done[v] || it.d > o.dist[v] {
+	for len(o.pq) > 0 {
+		it := o.pq.Pop()
+		v := int(it.Tie)
+		if o.done[v] || it.Key > o.dist[v] {
 			continue
 		}
 		o.done[v] = true
@@ -242,12 +243,12 @@ func (o *Oracle) dijkstra(cost func(e int) float64, group []int, reached []bool)
 			if o.done[w] {
 				return
 			}
-			nd := it.d + c
+			nd := it.Key + c
 			if nd < o.dist[w] {
 				o.dist[w] = nd
 				o.parentV[w] = int32(v)
 				o.parentE[w] = int32(e)
-				o.pq.push(oItem{nd, int32(w)})
+				o.pq.Push(heapq.Item[float64, struct{}]{Key: nd, Tie: int64(w)})
 			}
 		})
 	}
@@ -255,63 +256,3 @@ func (o *Oracle) dijkstra(cost func(e int) float64, group []int, reached []bool)
 }
 
 const inf64 = 1e30
-
-// oItem is one queue entry. Ties break on the vertex id so pop order —
-// and with it every tree — is deterministic.
-type oItem struct {
-	d float64
-	v int32
-}
-
-func (a oItem) less(b oItem) bool {
-	return a.d < b.d || (a.d == b.d && a.v < b.v)
-}
-
-// oHeap is a plain typed binary min-heap. It replaces the old
-// container/heap implementation, whose interface{} boxing allocated on
-// every Push/Pop in the solver's hottest loop (one oracle call per net
-// per phase) — the same fix pathsearch applied with distHeap.
-type oHeap []oItem
-
-func (h *oHeap) push(it oItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s[i].less(s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *oHeap) pop() (oItem, bool) {
-	s := *h
-	if len(s) == 0 {
-		return oItem{}, false
-	}
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s[l].less(s[small]) {
-			small = l
-		}
-		if r < n && s[r].less(s[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		s[i], s[small] = s[small], s[i]
-		i = small
-	}
-	return top, true
-}

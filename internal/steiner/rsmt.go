@@ -1,10 +1,10 @@
 package steiner
 
 import (
-	"container/heap"
 	"sort"
 
 	"bonnroute/internal/geom"
+	"bonnroute/internal/heapq"
 )
 
 // RSMTLength returns the length of a rectilinear Steiner minimum tree of
@@ -145,54 +145,31 @@ func bitIndex(s int) int {
 // relaxMetric performs the Dijkstra step of Dreyfus–Wagner using the ℓ1
 // metric between Hanan nodes.
 func relaxMetric(d []int64, nodes []geom.Point) {
-	type item struct {
-		d int64
-		v int
-	}
-	h := &dwHeap{}
+	var h heapq.Heap[int64, int] // key: distance; value: node
 	for v, dv := range d {
 		if dv < int64(1)<<59 {
-			heap.Push(h, dwItem{dv, v})
+			h.Push(heapq.Item[int64, int]{Key: dv, Val: v})
 		}
 	}
 	done := make([]bool, len(d))
-	for h.Len() > 0 {
-		it := heap.Pop(h).(dwItem)
-		if done[it.v] || it.d > d[it.v] {
+	for len(h) > 0 {
+		it := h.Pop()
+		v := it.Val
+		if done[v] || it.Key > d[v] {
 			continue
 		}
-		done[it.v] = true
+		done[v] = true
 		for w := range d {
 			if done[w] {
 				continue
 			}
-			nd := it.d + int64(nodes[it.v].Dist1(nodes[w]))
+			nd := it.Key + int64(nodes[v].Dist1(nodes[w]))
 			if nd < d[w] {
 				d[w] = nd
-				heap.Push(h, dwItem{nd, w})
+				h.Push(heapq.Item[int64, int]{Key: nd, Val: w})
 			}
 		}
 	}
-	_ = item{}
-}
-
-type dwItem struct {
-	d int64
-	v int
-}
-
-type dwHeap []dwItem
-
-func (h dwHeap) Len() int            { return len(h) }
-func (h dwHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h dwHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dwHeap) Push(x interface{}) { *h = append(*h, x.(dwItem)) }
-func (h *dwHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // mstLength is Prim's algorithm on the ℓ1 complete graph.
